@@ -38,6 +38,7 @@ import io
 import json
 import re
 import tokenize
+import tomllib
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,11 +46,6 @@ from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from repro.analysis.project import ProjectGraph
-
-try:
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - py3.10 fallback
-    tomllib = None  # type: ignore[assignment]
 
 __all__ = [
     "EXIT_CLEAN",
@@ -426,15 +422,15 @@ class Config:
 def load_config(pyproject: Path | None = None) -> Config:
     """Build a :class:`Config` from ``[tool.replint]`` in pyproject.toml.
 
-    Missing file, missing table, or a py3.10 interpreter without
-    :mod:`tomllib` all degrade to the in-code defaults; a present but
-    unparseable file raises ``ValueError`` (config errors must be loud).
+    A missing file or missing table degrades to the in-code defaults; a
+    present but unparseable file raises ``ValueError`` (config errors
+    must be loud).
     """
     raw: dict[str, Any] = {}
     if pyproject is None:
         candidate = Path.cwd() / "pyproject.toml"
         pyproject = candidate if candidate.is_file() else None
-    if pyproject is not None and tomllib is not None:
+    if pyproject is not None:
         try:
             with open(pyproject, "rb") as handle:
                 raw = tomllib.load(handle).get("tool", {}).get("replint", {})

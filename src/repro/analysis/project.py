@@ -258,8 +258,8 @@ def _toplevel_bindings(tree: ast.Module) -> set[str]:
                 if item.name != "*":
                     bound.add(item.asname or item.name)
         elif isinstance(stmt, (ast.If, ast.Try)):
-            # One conditional level deep: version-gated fallbacks like
-            # the engine's tomllib import still count as bindings.
+            # One conditional level deep: version-gated fallback
+            # imports still count as bindings.
             for sub in ast.walk(stmt):
                 if isinstance(sub, (ast.Import, ast.ImportFrom)):
                     for item in sub.names:

@@ -259,7 +259,9 @@ class UnknownNQuantiles:
         """In-flight sample elements as weighted pseudo-buffers."""
         extras: list[tuple[Sequence[float], int]] = []
         if self._staged:
-            extras.append((sorted(self._staged), self._rate))
+            # The backend's sort (one C call on the native backend): the
+            # first query after every ingest re-sorts the staged run.
+            extras.append((self._backend.sort_values(self._staged), self._rate))
         pending = self._sampler.pending()
         if pending is not None:
             candidate, seen = pending

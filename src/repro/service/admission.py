@@ -2,16 +2,19 @@
 
 Overload policy, stated once and enforced here:
 
-* every tenant has a **bounded ingest queue**; a batch that does not fit
-  is shed *explicitly* — the client gets an ``overloaded`` response with
-  a ``retry_after_ms`` hint (the 429 pattern), never a silent drop;
+* every tenant has a **bounded ingest queue**, used only while the
+  tenant is busy (an idle tenant's batch applies inline, unqueued); a
+  batch that does not fit is shed *explicitly* — the client gets an
+  ``overloaded`` response with a ``retry_after_ms`` hint (the 429
+  pattern), never a silent drop;
 * the server has a **global in-flight cap** so one tenant flooding its
   own queue cannot starve every other tenant of event-loop time;
 * every request runs under a **deadline**: the caller's ``deadline_ms``
   (or the server default) becomes a :class:`Deadline` that is consulted
-  before queueing, while waiting for the apply, and between units of
-  query/merge work — so a request that can no longer make its budget
-  stops consuming resources instead of completing uselessly late.
+  before an apply or queue admission, while waiting for a queued apply,
+  and between units of query/merge work — so a request that can no
+  longer make its budget stops consuming resources instead of
+  completing uselessly late.
 
 Everything here is explicit bookkeeping on the single event-loop thread;
 there are no locks and no timing races to tune.

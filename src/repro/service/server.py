@@ -10,10 +10,16 @@ together here:
   in-flight cap plus bounded per-tenant ingest queues; a request that
   does not fit is answered ``overloaded`` with a retry hint — the
   server sheds load explicitly, never silently;
+* **one event-loop pass per uncontended request**: an idle tenant's
+  ingest applies inline, with no queue, task or future before the ack;
+  only while the tenant is *busy* (batches queued, or its checkpoint
+  being written) do ingests take the bounded queue, drained in order by
+  a worker that lives as long as the backlog;
 * **deadlines**: every request carries a budget that is consulted
-  before queue admission, while awaiting the apply, and between
-  per-quantile units of query work, so work that cannot make its
-  deadline stops early;
+  before an apply or queue admission, while awaiting a queued apply,
+  and between per-quantile units of query work, so work that cannot
+  make its deadline stops early; each socket or queue await runs under
+  one ``asyncio.timeout`` scope, never a per-call ``wait_for`` task;
 * **circuit breaker** (:class:`repro.service.tenants.CircuitBreaker`):
   consecutive ingest-apply failures flip a tenant to degraded-read mode
   — writes are rejected with ``circuit_open`` while reads are served
@@ -38,6 +44,7 @@ import asyncio
 import base64
 import binascii
 import contextlib
+import functools
 import json
 import os
 import time
@@ -59,6 +66,9 @@ from repro.service.admission import (
 )
 from repro.service.chaos import ChaosCrash, ChaosPlan
 from repro.service.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
     MetricRegistry,
     merge_metric_payloads,
     render_payload_text,
@@ -66,6 +76,7 @@ from repro.service.metrics import (
 from repro.service.protocol import (
     HTTP_STATUS,
     MAX_LINE_BYTES,
+    OPS,
     ProtocolError,
     Request,
     encode_http_response,
@@ -92,12 +103,11 @@ __all__ = [
     "resolve_backend",
 ]
 
+#: One queued ingest: its values and the future its request awaits.
+_Batch = tuple[list[float], asyncio.Future[int]]
+
 #: Sentinel: abort the connection instead of writing a response.
 _RESET = object()
-
-#: Per-iteration timeout of a worker's queue poll; bounds how long a
-#: cancelled/draining worker can sit blocked on an empty queue.
-_WORKER_POLL_SECONDS = 0.5
 
 #: Timeout on socket writes/drains; a peer that stops reading cannot
 #: wedge a handler forever.
@@ -153,6 +163,36 @@ class ShuttingDown(Exception):
 
 class IngestApplyError(Exception):
     """A batch failed to apply (NaN rejection, injected fault, ...)."""
+
+
+class _Handles:
+    """Hot-path metric handles of one label set (an op, or a tenant),
+    each resolved once instead of per call, and lazily, so the registry
+    exports exactly the series some request has touched."""
+
+    def __init__(self, registry: MetricRegistry, **labels: str) -> None:
+        self._registry = registry
+        self._labels = labels
+
+    @functools.cached_property
+    def requests(self) -> Counter:
+        return self._registry.counter("requests_total", **self._labels)
+
+    @functools.cached_property
+    def seconds(self) -> Histogram:
+        return self._registry.histogram("request_seconds", **self._labels)
+
+    @functools.cached_property
+    def breaker_open(self) -> Gauge:
+        return self._registry.gauge("breaker_open", **self._labels)
+
+    @functools.cached_property
+    def cache_hits(self) -> Counter:
+        return self._registry.counter("query_cache_hits_total", **self._labels)
+
+    @functools.cached_property
+    def cache_misses(self) -> Counter:
+        return self._registry.counter("query_cache_misses_total", **self._labels)
 
 
 @dataclass
@@ -238,10 +278,13 @@ class QuantileService:
         )
         self.recovery: RecoveryReport | None = None
         self._admission = AdmissionController(self.config.max_inflight)
-        self._queues: dict[str, asyncio.Queue[tuple[list[float], asyncio.Future[int]]]] = {}
+        self._queues: dict[str, asyncio.Queue[_Batch]] = {}
+        #: A tenant is busy while it has a draining worker or a checkpoint
+        #: write in flight; only then do its ingests take the queue.
         self._workers: dict[str, asyncio.Task[None]] = {}
-        self._flush_locks: dict[str, asyncio.Lock] = {}
-        self._pending_flushes: set[asyncio.Future[str]] = set()
+        self._flushing: dict[str, asyncio.Future[str]] = {}
+        self._request_metrics = {op: _Handles(self.metrics, op=op) for op in OPS}
+        self._tenant_metrics: dict[str, _Handles] = {}
         self._connections: set[asyncio.Task[None]] = set()
         self._server: asyncio.base_events.Server | None = None
         self._shard_server: asyncio.base_events.Server | None = None
@@ -259,19 +302,7 @@ class QuantileService:
         self._started_at = time.monotonic()
         self._handlers: dict[
             str, Callable[[Request, Deadline], Awaitable[dict[str, Any]]]
-        ] = {
-            "ingest": self._op_ingest,
-            "query_many": self._op_query_many,
-            "inverse_quantile": self._op_inverse_quantile,
-            "snapshot": self._op_snapshot,
-            "health": self._op_health,
-            "ready": self._op_ready,
-            "metrics": self._op_metrics,
-            "route": self._op_route,
-            "shards": self._op_shards,
-            "query_fanout": self._op_query_fanout,
-            "export_snapshots": self._op_export_snapshots,
-        }
+        ] = {op: getattr(self, f"_op_{op}") for op in OPS}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -305,7 +336,7 @@ class QuantileService:
             # non-listening SO_REUSEPORT reservation on the same port, so
             # a respawned worker re-binds the identical address.
             self._shard_server = await asyncio.start_server(
-                self._on_peer_connection,
+                functools.partial(self._on_connection, from_peer=True),
                 "127.0.0.1",
                 self.shard_ports[self.shard_index],
                 limit=_STREAM_LIMIT_BYTES,
@@ -351,19 +382,18 @@ class QuantileService:
                 not queue.empty() for queue in self._queues.values()
             ):
                 await asyncio.sleep(0.01)
-            for worker in self._workers.values():
+            workers = list(self._workers.values())
+            for worker in workers:
                 worker.cancel()
-            if self._workers:
-                await asyncio.gather(
-                    *self._workers.values(), return_exceptions=True
-                )
+            if workers:
+                await asyncio.gather(*workers, return_exceptions=True)
             self._workers.clear()
-            if self._pending_flushes:
-                # A cancelled worker may have left an executor flush
-                # running; wait it out so the final sweep below never
-                # races an in-flight checkpoint rotation.
+            if self._flushing:
+                # An executor flush may still be running; wait it out so
+                # the final sweep below never races an in-flight
+                # checkpoint rotation.
                 await asyncio.gather(
-                    *list(self._pending_flushes), return_exceptions=True
+                    *list(self._flushing.values()), return_exceptions=True
                 )
             if flush and self.registry.durable:
                 self._flush_remaining_tenants()
@@ -374,18 +404,11 @@ class QuantileService:
                     *self._connections, return_exceptions=True
                 )
             self._connections.clear()
-            if self._server is not None:
-                with contextlib.suppress(TimeoutError, asyncio.TimeoutError):
-                    await asyncio.wait_for(
-                        self._server.wait_closed(),
-                        timeout=_CLOSE_TIMEOUT_SECONDS,
-                    )
-            if self._shard_server is not None:
-                with contextlib.suppress(TimeoutError, asyncio.TimeoutError):
-                    await asyncio.wait_for(
-                        self._shard_server.wait_closed(),
-                        timeout=_CLOSE_TIMEOUT_SECONDS,
-                    )
+            for listener in (self._server, self._shard_server):
+                if listener is not None:
+                    with contextlib.suppress(TimeoutError):
+                        async with asyncio.timeout(_CLOSE_TIMEOUT_SECONDS):
+                            await listener.wait_closed()
         finally:
             # Even a shutdown that failed part-way must conclude:
             # wait_stopped()/serve loops unblock and further SIGTERMs
@@ -421,24 +444,22 @@ class QuantileService:
     # ------------------------------------------------------------------
 
     def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        *,
+        from_peer: bool = False,
     ) -> None:
-        task = asyncio.ensure_future(self._handle_connection(reader, writer))
-        self._connections.add(task)
-        task.add_done_callback(self._connections.discard)
+        """A client connection, or (``from_peer``) a sibling shard's
+        forwarding connection on the loopback port.
 
-    def _on_peer_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """A sibling shard's forwarding connection on the loopback port.
-
-        Requests arriving here are already routed: a tenant op for a
-        tenant this shard does not own is answered ``shard_unavailable``
-        instead of being forwarded again, so a stale shard map can never
-        bounce a request around the ring.
+        Peer requests are already routed: a tenant op for a tenant this
+        shard does not own is answered ``shard_unavailable`` instead of
+        being forwarded again, so a stale shard map can never bounce a
+        request around the ring.
         """
         task = asyncio.ensure_future(
-            self._handle_connection(reader, writer, from_peer=True)
+            self._handle_connection(reader, writer, from_peer=from_peer)
         )
         self._connections.add(task)
         task.add_done_callback(self._connections.discard)
@@ -454,35 +475,24 @@ class QuantileService:
         try:
             while True:
                 try:
-                    line = await asyncio.wait_for(
-                        reader.readline(), timeout=self.config.idle_timeout
-                    )
-                except (TimeoutError, asyncio.TimeoutError, ConnectionError):
+                    async with asyncio.timeout(self.config.idle_timeout):
+                        line = await reader.readline()
+                except (TimeoutError, ConnectionError):
                     return
                 except ValueError:
                     # readline overran the stream limit: the frame is
                     # larger than any legal request and its framing is
                     # lost — answer explicitly, then close the
                     # connection (the never-silent contract).
-                    self.metrics.counter(
-                        "errors_total", code="bad_request"
-                    ).increment()
-                    writer.write(
-                        encode_response(
-                            error_response(
-                                None,
-                                "bad_request",
-                                f"request line exceeds {MAX_LINE_BYTES} "
-                                "bytes; split the ingest",
-                            )
-                        )
+                    self.metrics.counter("errors_total", code="bad_request").increment()
+                    overrun = error_response(
+                        None,
+                        "bad_request",
+                        f"request line exceeds {MAX_LINE_BYTES} bytes; "
+                        "split the ingest",
                     )
-                    with contextlib.suppress(
-                        TimeoutError, asyncio.TimeoutError, ConnectionError
-                    ):
-                        await asyncio.wait_for(
-                            writer.drain(), timeout=_WRITE_TIMEOUT_SECONDS
-                        )
+                    writer.write(encode_response(overrun))
+                    await self._drain(writer)
                     return
                 if not line:
                     return
@@ -506,11 +516,7 @@ class QuantileService:
                     self._abort(writer)
                     return
                 writer.write(encode_response(response))
-                try:
-                    await asyncio.wait_for(
-                        writer.drain(), timeout=_WRITE_TIMEOUT_SECONDS
-                    )
-                except (TimeoutError, asyncio.TimeoutError, ConnectionError):
+                if not await self._drain(writer):
                     return
         except asyncio.CancelledError:
             # Shutdown closes the connection under the client; the
@@ -536,12 +542,9 @@ class QuantileService:
                     HTTP_STATUS[exc.code], encode_response(payload)
                 )
             )
-            with contextlib.suppress(TimeoutError, asyncio.TimeoutError, ConnectionError):
-                await asyncio.wait_for(
-                    writer.drain(), timeout=_WRITE_TIMEOUT_SECONDS
-                )
+            await self._drain(writer)
             return
-        except (asyncio.IncompleteReadError, TimeoutError, asyncio.TimeoutError, ConnectionError):
+        except (asyncio.IncompleteReadError, TimeoutError, ConnectionError):
             return
         response = await self._handle_request(request, seq)
         if response is _RESET:
@@ -559,8 +562,7 @@ class QuantileService:
                 status = 503
             payload_bytes, content_type = encode_response(response), "application/json"
         writer.write(encode_http_response(status, payload_bytes, content_type))
-        with contextlib.suppress(TimeoutError, asyncio.TimeoutError, ConnectionError):
-            await asyncio.wait_for(writer.drain(), timeout=_WRITE_TIMEOUT_SECONDS)
+        await self._drain(writer)
 
     async def _read_http_request(
         self, first_line: bytes, reader: asyncio.StreamReader
@@ -574,9 +576,8 @@ class QuantileService:
         content_length = 0
         while True:
             try:
-                header = await asyncio.wait_for(
-                    reader.readline(), timeout=_HTTP_READ_TIMEOUT_SECONDS
-                )
+                async with asyncio.timeout(_HTTP_READ_TIMEOUT_SECONDS):
+                    header = await reader.readline()
             except ValueError as exc:
                 # Stream-limit overrun on an absurdly long header line.
                 raise ProtocolError(
@@ -600,10 +601,8 @@ class QuantileService:
                     )
         body = b""
         if content_length > 0:
-            body = await asyncio.wait_for(
-                reader.readexactly(content_length),
-                timeout=_HTTP_READ_TIMEOUT_SECONDS,
-            )
+            async with asyncio.timeout(_HTTP_READ_TIMEOUT_SECONDS):
+                body = await reader.readexactly(content_length)
         return http_request_to_request(method, target, body)
 
     def _abort(self, writer: asyncio.StreamWriter) -> None:
@@ -612,12 +611,22 @@ class QuantileService:
         transport = writer.transport
         transport.abort()
 
+    @staticmethod
+    async def _drain(writer: asyncio.StreamWriter) -> bool:
+        """Flush written bytes within the write timeout; False if the peer
+        is gone or stopped reading."""
+        try:
+            async with asyncio.timeout(_WRITE_TIMEOUT_SECONDS):
+                await writer.drain()
+        except (TimeoutError, ConnectionError):
+            return False
+        return True
+
     async def _close_writer(self, writer: asyncio.StreamWriter) -> None:
         with contextlib.suppress(Exception):
             writer.close()
-            await asyncio.wait_for(
-                writer.wait_closed(), timeout=_CLOSE_TIMEOUT_SECONDS
-            )
+            async with asyncio.timeout(_CLOSE_TIMEOUT_SECONDS):
+                await writer.wait_closed()
 
     def _next_seq(self) -> int:
         if self.chaos is not None:
@@ -708,36 +717,28 @@ class QuantileService:
         pool = self._peer_pools.setdefault(shard, [])
         conn: tuple[asyncio.StreamReader, asyncio.StreamWriter] | None = None
         try:
-            if pool:
-                conn = pool.pop()
-            else:
-                conn = await asyncio.wait_for(
-                    asyncio.open_connection(
+            async with asyncio.timeout(timeout):
+                if pool:
+                    conn = pool.pop()
+                else:
+                    conn = await asyncio.open_connection(
                         "127.0.0.1",
                         self.shard_ports[shard],
                         limit=_STREAM_LIMIT_BYTES,
-                    ),
-                    timeout=timeout,
+                    )
+                reader, writer = conn
+                writer.write(
+                    json.dumps(payload, separators=(",", ":")).encode("utf-8")
+                    + b"\n"
                 )
-            reader, writer = conn
-            writer.write(
-                json.dumps(payload, separators=(",", ":")).encode("utf-8")
-                + b"\n"
-            )
-            await asyncio.wait_for(writer.drain(), timeout=timeout)
-            line = await asyncio.wait_for(reader.readline(), timeout=timeout)
+                await writer.drain()
+                line = await reader.readline()
             if not line:
                 raise ConnectionError(f"shard {shard} closed the connection")
             decoded = json.loads(line)
             if not isinstance(decoded, dict):
                 raise ValueError(f"shard {shard} answered a non-object frame")
-        except (
-            TimeoutError,
-            asyncio.TimeoutError,
-            ConnectionError,
-            OSError,
-            ValueError,
-        ) as exc:
+        except (TimeoutError, ConnectionError, OSError, ValueError) as exc:
             if conn is not None:
                 with contextlib.suppress(Exception):
                     conn[1].close()
@@ -791,7 +792,8 @@ class QuantileService:
         deadline = Deadline.from_ms(
             request.deadline_ms, self.config.default_deadline
         )
-        self.metrics.counter("requests_total", op=request.op).increment()
+        op_metrics = self._request_metrics[request.op]
+        op_metrics.requests.increment()
         started = time.perf_counter()
         code: str | None = None
         limited = self._check_rate_limit(request)
@@ -836,64 +838,48 @@ class QuantileService:
                 response = ok_response(request.request_id, **body)
         except ProtocolError as exc:
             code = exc.code
-            response = error_response(request.request_id, exc.code, str(exc))
+            response = error_response(request.request_id, code, str(exc))
         except Overloaded as exc:
             code = "overloaded"
             self.metrics.counter("shed_total", kind="queue").increment()
             response = error_response(
-                request.request_id,
-                "overloaded",
-                str(exc),
-                retry_after_ms=exc.retry_after_ms,
+                request.request_id, code, str(exc), retry_after_ms=exc.retry_after_ms
             )
         except DeadlineExceeded as exc:
             code = "deadline_exceeded"
-            response = error_response(
-                request.request_id, "deadline_exceeded", str(exc)
-            )
+            response = error_response(request.request_id, code, str(exc))
         except CircuitOpenError as exc:
             code = "circuit_open"
             response = error_response(
-                request.request_id,
-                "circuit_open",
-                str(exc),
-                degraded_reads=True,
+                request.request_id, code, str(exc), degraded_reads=True
             )
         except IngestApplyError as exc:
             code = "ingest_failed"
-            response = error_response(
-                request.request_id, "ingest_failed", str(exc)
-            )
+            response = error_response(request.request_id, code, str(exc))
         except ShuttingDown as exc:
             code = "shutting_down"
-            response = error_response(
-                request.request_id, "shutting_down", str(exc)
-            )
+            response = error_response(request.request_id, code, str(exc))
         except ChaosCrash as exc:
             # The injected mid-request crash: mapped, never swallowed.
             code = "internal"
             self.metrics.counter("chaos_crashes_total").increment()
             response = error_response(
-                request.request_id, "internal", str(exc), injected=True
+                request.request_id, code, str(exc), injected=True
             )
         except ValueError as exc:
             code = "bad_request"
-            response = error_response(request.request_id, "bad_request", str(exc))
+            response = error_response(request.request_id, code, str(exc))
         except Exception as exc:
             # Any other handler exception still maps to a coded response;
             # the connection (and the server) outlive the failure.
             code = "internal"
             self.metrics.counter("unexpected_errors_total").increment()
             response = error_response(
-                request.request_id,
-                "internal",
-                f"{type(exc).__name__}: {exc}",
+                request.request_id, code, f"{type(exc).__name__}: {exc}"
             )
         finally:
             self._admission.release()
-            self.metrics.histogram("request_seconds", op=request.op).record(
-                time.perf_counter() - started
-            )
+            op_metrics.seconds.record(time.perf_counter() - started)
         if code is not None:
             self.metrics.counter("errors_total", code=code).increment()
         if self.chaos is not None and self.chaos.takes_reset(seq):
@@ -920,47 +906,59 @@ class QuantileService:
             )
         return state
 
-    def _ensure_worker(self, state: TenantState) -> asyncio.Queue[
-        tuple[list[float], asyncio.Future[int]]
-    ]:
-        queue = self._queues.get(state.name)
-        if queue is None:
-            queue = asyncio.Queue(maxsize=self.config.queue_depth)
-            self._queues[state.name] = queue
-        worker = self._workers.get(state.name)
-        if worker is None or worker.done():
-            self._workers[state.name] = asyncio.ensure_future(
-                self._ingest_worker(state, queue)
-            )
-        return queue
+    def _tenant_handles(self, name: str) -> _Handles:
+        handles = self._tenant_metrics.get(name)
+        if handles is None:
+            handles = self._tenant_metrics[name] = _Handles(self.metrics, tenant=name)
+        return handles
 
-    async def _ingest_worker(
-        self,
-        state: TenantState,
-        queue: asyncio.Queue[tuple[list[float], asyncio.Future[int]]],
-    ) -> None:
-        """Drain one tenant's bounded queue; batches apply in order."""
-        while True:
-            try:
-                values, future = await asyncio.wait_for(
-                    queue.get(), timeout=_WORKER_POLL_SECONDS
-                )
-            except (TimeoutError, asyncio.TimeoutError):
-                continue
-            await self._apply_batch(state, values, future)
-            queue.task_done()
+    @functools.cached_property
+    def _ingested_values(self) -> Counter:
+        return self.metrics.counter("ingested_values_total")
 
-    async def _apply_batch(
-        self,
-        state: TenantState,
-        values: list[float],
-        future: asyncio.Future[int],
+    async def _drain_queue(
+        self, state: TenantState, queue: asyncio.Queue[_Batch]
     ) -> None:
+        """Apply a busy tenant's queued batches in order, then exit.
+
+        Started by the first enqueue, so an idle tenant holds no task.
+        A batch is dequeued only when it can apply at once: never during
+        a checkpoint write, never with a suspension before the apply.
+        """
+        try:
+            while True:
+                flushing = self._flushing.get(state.name)
+                if flushing is not None:
+                    await asyncio.wait((flushing,))
+                    continue
+                try:
+                    values, future = queue.get_nowait()
+                except asyncio.QueueEmpty:
+                    return
+                try:
+                    applied = self._apply_batch(state, values)
+                except IngestApplyError as exc:
+                    if not future.done():
+                        future.set_exception(exc)
+                    continue
+                if not future.done():
+                    future.set_result(applied)
+        finally:
+            self._workers.pop(state.name, None)
+
+    def _apply_batch(self, state: TenantState, values: list[float]) -> int:
+        """Apply one batch to the live estimator; the count it accepted.
+
+        A failure raises :class:`IngestApplyError` after the breaker has
+        accounted it.  A batch that crosses the checkpoint interval
+        starts a background flush; the ack does not wait for it.
+        """
         seq = (
             self.chaos.next_apply_seq()
             if self.chaos is not None
             else state.batches_applied
         )
+        handles = self._tenant_handles(state.name)
         try:
             if self.chaos is not None:
                 self.chaos.maybe_apply_crash(seq, state.name)
@@ -975,61 +973,57 @@ class QuantileService:
                 "ingest_failures_total", tenant=state.name
             ).increment()
             if state.breaker.state == "open":
-                self.metrics.gauge(
-                    "breaker_open", tenant=state.name
-                ).set(1.0)
-            if not future.done():
-                future.set_exception(
-                    IngestApplyError(f"{type(exc).__name__}: {exc}")
-                )
-            return
+                handles.breaker_open.set(1.0)
+            raise IngestApplyError(f"{type(exc).__name__}: {exc}") from exc
         state.breaker.record_success()
-        self.metrics.gauge("breaker_open", tenant=state.name).set(0.0)
+        handles.breaker_open.set(0.0)
         state.batches_applied += 1
         state.since_checkpoint += len(values)
         # Eagerly drop memoised answers (the version check would catch a
         # stale read anyway; this frees the memory at mutation time).
         state.query_cache.clear()
-        self.metrics.counter("ingested_values_total").increment(len(values))
-        if not future.done():
-            future.set_result(len(values))
+        self._ingested_values.increment(len(values))
         if (
             self.registry.durable
             and state.since_checkpoint >= self.config.checkpoint_interval
         ):
-            try:
-                await self._flush_tenant(state)
-            except asyncio.CancelledError:
-                raise
-            except Exception:
-                # The batch itself applied; a failed interval flush
-                # costs checkpoint freshness, not correctness.  The
-                # element counter stays high, so the next batch retries.
+            self._start_flush(state)
+        return len(values)
+
+    def _start_flush(self, state: TenantState) -> asyncio.Future[str]:
+        """Checkpoint one tenant in the executor, off the event loop.
+
+        The tenant stays busy until the write lands, so no batch applies
+        while ``registry.flush`` serialises its estimator.  A failure
+        costs freshness, not correctness: the next batch retries.
+        """
+        future = asyncio.get_running_loop().run_in_executor(
+            None, self.registry.flush, state
+        )
+        self._flushing[state.name] = future
+
+        def landed(done: asyncio.Future[str]) -> None:
+            del self._flushing[state.name]
+            if done.cancelled() or done.exception() is not None:
                 self.metrics.counter(
                     "checkpoint_flush_failures_total", tenant=state.name
                 ).increment()
+            else:
+                self.metrics.counter("checkpoint_flushes_total").increment()
+
+        future.add_done_callback(landed)
+        return future
 
     async def _flush_tenant(self, state: TenantState) -> str:
-        """Checkpoint one tenant without stalling the event loop.
+        """Checkpoint one tenant now, after any flush already in flight.
 
-        ``registry.flush`` serialises, writes, and fsyncs; running it in
-        the default executor keeps a slow disk from freezing every other
-        tenant's handlers for the duration.  The per-tenant lock
-        serialises concurrent flushes (an interval flush racing an
-        explicit ``snapshot persist``) so the rotation chain is never
-        written twice at once, and the shielded, tracked future lets
-        shutdown wait out an in-flight write before its final sweep.
+        One tenant's flushes never overlap, so its rotation chain is
+        never written twice at once; the shield keeps the tracked write
+        alive for shutdown even if this request is cancelled.
         """
-        lock = self._flush_locks.setdefault(state.name, asyncio.Lock())
-        async with lock:
-            flush_future = asyncio.get_running_loop().run_in_executor(
-                None, self.registry.flush, state
-            )
-            self._pending_flushes.add(flush_future)
-            flush_future.add_done_callback(self._pending_flushes.discard)
-            path = await asyncio.shield(flush_future)
-        self.metrics.counter("checkpoint_flushes_total").increment()
-        return path
+        while (running := self._flushing.get(state.name)) is not None:
+            await asyncio.wait((running,))
+        return await asyncio.shield(self._start_flush(state))
 
     async def _op_ingest(
         self, request: Request, deadline: Deadline
@@ -1061,23 +1055,37 @@ class QuantileService:
         )
         if not state.breaker.allow_ingest():
             raise CircuitOpenError(name, state.breaker.consecutive_failures)
-        queue = self._ensure_worker(state)
-        future: asyncio.Future[int] = asyncio.get_running_loop().create_future()
-        self._admission.enqueue(
-            queue, (values, future), tenant=name, deadline=deadline
-        )
-        try:
-            applied = await asyncio.wait_for(future, timeout=deadline.remaining())
-        except (TimeoutError, asyncio.TimeoutError):
-            raise DeadlineExceeded(
-                f"deadline expired waiting for tenant {name!r} apply; the "
-                "batch may still be applied (at-least-once ingest)"
-            ) from None
+        if name not in self._workers and name not in self._flushing:
+            # Idle tenant: apply inline, in this pass of the event loop.
+            deadline.check(f"applying ingest for tenant {name!r}")
+            applied, pending = self._apply_batch(state, values), 0
+        else:
+            # Busy tenant: queue behind its backlog (or shed), in order.
+            queue = self._queues.get(name)
+            if queue is None:
+                queue = self._queues[name] = asyncio.Queue(self.config.queue_depth)
+            future: asyncio.Future[int] = asyncio.get_running_loop().create_future()
+            self._admission.enqueue(
+                queue, (values, future), tenant=name, deadline=deadline
+            )
+            if name not in self._workers:
+                self._workers[name] = asyncio.ensure_future(
+                    self._drain_queue(state, queue)
+                )
+            try:
+                async with asyncio.timeout(deadline.remaining()):
+                    applied = await future
+            except TimeoutError:
+                raise DeadlineExceeded(
+                    f"deadline expired waiting for tenant {name!r} apply; the "
+                    "batch may still be applied (at-least-once ingest)"
+                ) from None
+            pending = queue.qsize()
         return {
             "tenant": name,
             "accepted": applied,
             "n": state.n,
-            "pending_batches": queue.qsize(),
+            "pending_batches": pending,
             "breaker": state.breaker.state,
         }
 
@@ -1137,14 +1145,11 @@ class QuantileService:
             state.query_cache_version = version
         key = tuple(phis)
         cached = state.query_cache.get(key)
+        handles = self._tenant_handles(state.name)
         if cached is not None:
-            self.metrics.counter(
-                "query_cache_hits_total", tenant=state.name
-            ).increment()
+            handles.cache_hits.increment()
             return list(cached)
-        self.metrics.counter(
-            "query_cache_misses_total", tenant=state.name
-        ).increment()
+        handles.cache_misses.increment()
         # One batched walk over the merged view (a single native call on
         # the C backend) instead of one rank search per phi; the budget
         # is checked once up front since the batch is not interruptible.
@@ -1251,10 +1256,9 @@ class QuantileService:
         self, request: Request, deadline: Deadline
     ) -> dict[str, Any]:
         breakers_open = sum(
-            1
-            for name in self.registry.names()
-            if (state := self.registry.get(name)) is not None
-            and state.breaker.state == "open"
+            state.breaker.state == "open"
+            for state in map(self.registry.get, self.registry.names())
+            if state is not None
         )
         return {
             "status": "draining" if self._draining else "serving",
@@ -1347,11 +1351,8 @@ class QuantileService:
 
     def _local_shard_info(self) -> dict[str, Any]:
         names = self.registry.names()
-        total_n = 0
-        for name in names:
-            state = self.registry.get(name)
-            if state is not None:
-                total_n += state.n
+        states = [self.registry.get(name) for name in names]
+        total_n = sum(state.n for state in states if state is not None)
         return {
             "shard": self.shard_index,
             "pid": os.getpid(),
@@ -1446,7 +1447,6 @@ class QuantileService:
             )
             by_shard.setdefault(owner, []).append(name)
         snapshots: dict[str, EstimatorSnapshot | None] = {}
-        missing: list[str] = []
         for shard, names in sorted(by_shard.items()):
             if shard == self.shard_index:
                 for name in names:

@@ -406,7 +406,7 @@ class ServiceSupervisor:
         try:
             await asyncio.wait_for(readable, timeout=_READY_TIMEOUT_SECONDS)
             message: Any = conn.recv()
-        except (TimeoutError, asyncio.TimeoutError, EOFError, OSError) as exc:
+        except (TimeoutError, EOFError, OSError) as exc:
             raise RuntimeError(
                 f"worker shard {shard} did not report ready: "
                 f"{type(exc).__name__}: {exc}"

@@ -23,7 +23,9 @@ Four layers of confidence, mirroring ``test_kernels.py``:
 from __future__ import annotations
 
 import json
+import math
 import random
+import struct
 import sys
 from array import array
 
@@ -274,6 +276,46 @@ class TestNativeBitIdentity:
             py_est.update_batch(batch)
             nat_est.update_batch(batch)
             assert py_est.query_many(phis) == nat_est.query_many(phis)
+        assert py_est.n == nat_est.n
+
+    #: Edge-case doubles: signed zeros, infinities, subnormals, and
+    #: duplicates.
+    SPECIALS = [
+        0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+        2.2250738585072014e-308, 1.0, 1.0, -1.0, -1.0, 0.0, -0.0,
+    ]
+
+    # 25 staged values take the C insertion-sort path, 49 the radix path.
+    @pytest.mark.parametrize("staged", [25, 49])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_estimators_bit_identical_with_special_values_staged(
+        self, staged, seed
+    ):
+        # A query sorts the partially filled staged buffer with the
+        # backend's own sort: native and python must still answer alike.
+        data_rng = random.Random(seed)
+        batch = [
+            data_rng.choice(self.SPECIALS)
+            if data_rng.random() < 0.6
+            else data_rng.uniform(-1e-300, 1e-300)
+            for _ in range(PLAN.k + staged)
+        ]
+        py_est = UnknownNQuantiles(plan=PLAN, rng=random.Random(seed))
+        nat_est = UnknownNQuantiles(
+            plan=PLAN, rng=random.Random(seed), backend="native"
+        )
+        py_est.update_batch(batch)
+        nat_est.update_batch(batch)
+        assert len(py_est._staged) == len(nat_est._staged) == staged
+        phis = [i / 100 for i in range(1, 100)]
+        py_answers = py_est.query_many(phis)
+        nat_answers = nat_est.query_many(phis)
+        # ±0.0 compare equal and either order is a valid sort; every
+        # other answer must match bit for bit.
+        assert py_answers == nat_answers
+        assert [struct.pack("<d", abs(v)) for v in py_answers] == [
+            struct.pack("<d", abs(v)) for v in nat_answers
+        ]
         assert py_est.n == nat_est.n
 
 
