@@ -127,10 +127,7 @@ def run_scale(
     # the process runtime, so the per-worker kernels should not be the
     # bottleneck being measured.
     if backend is None:
-        names = available_backends()
-        backend = next(
-            (b for b in ("native", "numpy") if b in names), "python"
-        )
+        backend = "native" if "native" in available_backends() else "python"
     plan_started = time.perf_counter()
     plan = plan_parameters(EPS, DELTA)
     plan_ms = (time.perf_counter() - plan_started) * 1_000

@@ -10,8 +10,8 @@ baseline.
 This file is also a standalone script: ``python benchmarks/bench_throughput.py``
 runs the kernel-backend perf trajectory (1M-element batch ingest and
 cached-vs-uncached ``query_many`` on every available backend, plus a
-24M-element deep-stream ingest on the vectorised backends that pins the
-native-vs-numpy acceptance ratio) and writes the machine-readable
+24M-element deep-stream ingest on both backends that pins the
+native-vs-python acceptance ratio) and writes the machine-readable
 ``BENCH_throughput.json`` at the repo root, so the speedups claimed in
 docs/PERFORMANCE.md stay pinned to measurements.  Use ``--smoke`` for
 the fast CI variant.
@@ -46,22 +46,23 @@ SEED_QUERY_MANY_MS = 1.635
 #: Pre-arena (boxed list[float] buffer storage) batch-ingest rates, from
 #: the BENCH_throughput.json committed with the vectorised-kernels PR.
 #: The columnar arena must beat them by the required factors below.
-PRE_ARENA_BATCH_INGEST_ELEMS_PER_S = {
-    "python": 2_135_131.4,
-    "numpy": 9_218_577.3,
-}
-ARENA_SPEEDUP_REQUIRED = {"python": 1.3, "numpy": 1.5}
+PRE_ARENA_BATCH_INGEST_ELEMS_PER_S = {"python": 2_135_131.4}
+ARENA_SPEEDUP_REQUIRED = {"python": 1.3}
 
 #: Large-stream ingest: the regime the paper targets (datasets far larger
 #: than memory).  24 one-million-element chunks at the same accuracy
 #: point as the 1M trajectory; by the later chunks the sampling rate has
 #: ramped, so block sampling resolves most elements and the per-block
 #: constant factors (RNG draw, slice, sort) dominate — which is exactly
-#: where the compiled kernels earn their keep.  The native-vs-numpy
+#: where the compiled kernels earn their keep.  The native-vs-python
 #: criterion is pinned here, same host, same run.
 STREAM_CHUNK_ELEMS = 1_000_000
 STREAM_CHUNKS = 24
-NATIVE_STREAM_SPEEDUP_REQUIRED = 3.0
+#: The former gate was native >= 3.0x the (since removed) numpy backend.
+#: Re-expressed against python as 3.0 x median(numpy/python) over seven
+#: same-process best-of-5 runs on a 2-vCPU x86-64 host (median 1.84),
+#: rounded up to one decimal: 5.52 -> 5.6.
+NATIVE_STREAM_SPEEDUP_REQUIRED = 5.6
 #: One uncached query_many(99 phis) on the native backend must fit the
 #: sub-100µs budget (full re-merge + 99 C rank walks, no memoised view).
 NATIVE_QUERY_UNCACHED_US_BUDGET = 100.0
@@ -145,7 +146,7 @@ def test_throughput_reservoir(benchmark):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_throughput_unknown_n_batch_ingest(benchmark, backend):
     # The bulk path: one RNG draw per sampling block instead of per element,
-    # on every backend the host has (python always; numpy when installed).
+    # on every backend the host has (python always; native when built).
     def run():
         est = UnknownNQuantiles(eps=EPS, delta=DELTA, seed=7, backend=backend)
         est.update_batch(DATA)
@@ -297,11 +298,11 @@ def run_perf_trajectory(
                 _measure_query_many(backend, n // 20, repeats, cached=False), 4
             ),
         }
-    # Deep-stream ingest for the vectorised backends (the native-vs-numpy
-    # acceptance regime; the python reference would add minutes for a
-    # number the 1M trajectory already tracks).
+    # Deep-stream ingest on both backends: the native-vs-python acceptance
+    # regime (the python reference takes about a second per 24M-value pass
+    # once sampling has ramped).
     stream: dict = {}
-    for backend in ("numpy", "native"):
+    for backend in ("python", "native"):
         if backend in report["backends"]:
             stream[backend] = round(
                 _measure_stream_ingest(
@@ -315,21 +316,21 @@ def run_perf_trajectory(
         "elems_per_s": stream,
     }
     criteria: dict = {}
-    if "numpy" in stream and "native" in stream:
-        ratio = stream["native"] / stream["numpy"]
-        criteria["native_stream_ingest_speedup_vs_numpy"] = {
+    if "native" in stream:
+        ratio = stream["native"] / stream["python"]
+        criteria["native_stream_ingest_speedup_vs_python"] = {
             "measured": round(ratio, 2),
             "required": NATIVE_STREAM_SPEEDUP_REQUIRED,
             "pass": ratio >= NATIVE_STREAM_SPEEDUP_REQUIRED,
         }
     else:
-        # Same-host comparison impossible without both backends: record
-        # the criterion as failed rather than silently dropping it.
-        criteria["native_stream_ingest_speedup_vs_numpy"] = {
+        # Same-host comparison impossible without the native backend:
+        # record the criterion as failed rather than silently dropping it.
+        criteria["native_stream_ingest_speedup_vs_python"] = {
             "measured": None,
             "required": NATIVE_STREAM_SPEEDUP_REQUIRED,
             "pass": False,
-            "reason": "requires both the numpy and native backends",
+            "reason": "requires the native backend",
         }
     if "native" in report["backends"]:
         uncached_us = report["backends"]["native"]["query_many_uncached_ms"] * 1_000
@@ -347,17 +348,7 @@ def run_perf_trajectory(
             "pass": False,
             "reason": "requires the native backend",
         }
-    if "numpy" in report["backends"]:
-        ingest = report["backends"]["numpy"]["batch_ingest_elems_per_s"]
-        speedup = ingest / SEED_BATCH_INGEST_ELEMS_PER_S
-        criteria["numpy_batch_ingest_speedup_vs_seed"] = {
-            "measured": round(speedup, 2),
-            "required": 5.0,
-            "pass": speedup >= 5.0,
-        }
     for name, baseline in PRE_ARENA_BATCH_INGEST_ELEMS_PER_S.items():
-        if name not in report["backends"]:
-            continue
         rate = report["backends"][name]["batch_ingest_elems_per_s"]
         arena_speedup = rate / baseline
         required = ARENA_SPEEDUP_REQUIRED[name]

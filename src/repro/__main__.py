@@ -47,7 +47,7 @@ def _read_value_chunks(
     """Whitespace-separated floats from a file (or stdin), in bulk chunks.
 
     Chunks feed the estimators' ``update_batch`` (one RNG draw per
-    sampling block; vectorised on the numpy backend) instead of boxing
+    sampling block) instead of boxing
     every value through a scalar ``update``.  Malformed tokens raise
     :class:`_InputError` naming the offending token and its line number
     instead of surfacing a raw ``float()`` traceback; NaN tokens are
@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     quantile.add_argument("--seed", type=int, default=None)
     quantile.add_argument(
         "--backend",
-        choices=["python", "numpy", "native"],
+        choices=["python", "native"],
         default=None,
         help="kernel backend (default: $REPRO_BACKEND, else python)",
     )
@@ -129,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     histogram.add_argument("--seed", type=int, default=None)
     histogram.add_argument(
         "--backend",
-        choices=["python", "numpy", "native"],
+        choices=["python", "native"],
         default=None,
         help="kernel backend (default: $REPRO_BACKEND, else python)",
     )
@@ -317,6 +317,9 @@ def _cmd_quantile(args: argparse.Namespace) -> int:
     except BackendUnavailableError as exc:
         print(f"error: {exc} (available: {available_backends()})", file=sys.stderr)
         return 2
+    except ValueError as exc:  # bad eps/delta, or an unknown $REPRO_BACKEND
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         if args.float64:
             if not args.file:
@@ -410,6 +413,9 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
         )
     except BackendUnavailableError as exc:
         print(f"error: {exc} (available: {available_backends()})", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # bad eps/delta, or an unknown $REPRO_BACKEND
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         if args.float64:

@@ -268,7 +268,7 @@ class ShardSupervisor:
         scan speeds), so ``checkpoint_dir`` is not consulted here.
 
         :param backend: kernel backend for every pool worker
-            (``"python"``, ``"numpy"``, or None for the environment
+            (``"python"``, ``"native"``, or None for the environment
             default).
         :param start_method: multiprocessing start method (``"fork"``,
             ``"spawn"``, ``"forkserver"``; None = platform default).

@@ -96,8 +96,8 @@ class Buffer:
     def data(self) -> Sequence[float]:
         """Zero-copy view of the stored elements (sorted when non-empty).
 
-        A ``memoryview`` on the python backend, an ndarray slice on the
-        numpy one — random-access, sliceable, iterable floats either way.
+        A float64 ``memoryview`` — random-access, sliceable, iterable
+        floats.
         The view aliases the arena: it is invalidated by the next write
         to this buffer's slot (take ``list(buf.data)`` to keep a copy).
         """

@@ -110,7 +110,7 @@ class ExtremeValueEstimator:
         self._backend = get_backend(backend)
         probability = min(1.0, self._sample_size / n)
         self._sampler = BernoulliSampler(
-            probability, rng if rng is not None else self._backend.make_rng(seed)
+            probability, rng if rng is not None else random.Random(seed)
         )
         # Max-heap of the `capacity` smallest sampled values (low tail) or
         # min-heap of the largest (high tail); Python's heapq is a
@@ -145,10 +145,9 @@ class ExtremeValueEstimator:
 
         Random-access inputs are NaN-scanned *before* any mutation, so a
         poisoned batch is rejected atomically (the scalar path's
-        guarantee), then offered to the Bernoulli sampler as one batch —
-        a single vectorised draw on the numpy backend; only the O(p * n)
-        kept elements touch the heap.  One-shot iterators are necessarily
-        checked element-by-element.
+        guarantee), then offered to the Bernoulli sampler as one batch;
+        only the O(p * n) kept elements touch the heap.  One-shot iterators
+        are necessarily checked element-by-element.
         """
         reject_text_batch(values)
         if is_random_access(values):

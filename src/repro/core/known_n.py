@@ -26,10 +26,8 @@ from repro.kernels import (
     is_nan,
     is_random_access,
     reject_text_batch,
-    rng_from_state,
-    rng_state_dict,
 )
-from repro.sampling.block import BlockSampler
+from repro.sampling.block import BlockSampler, restore_rng
 
 __all__ = ["KnownNQuantiles"]
 
@@ -67,7 +65,7 @@ class KnownNQuantiles:
         self._engine = CollapseEngine(
             plan.b, plan.k, policy, trace=trace, backend=self._backend
         )
-        self._rng = rng if rng is not None else self._backend.make_rng(seed)
+        self._rng = rng if rng is not None else random.Random(seed)
         self._sampler = BlockSampler(rate=plan.rate, rng=self._rng)
         # replint: disable=buffer-arena -- O(k) staging for the buffer
         # currently filling; deposit copies it into the arena at k elements
@@ -171,7 +169,7 @@ class KnownNQuantiles:
                 "exact": self._plan.exact,
             },
             "engine": self._engine.state_dict(),
-            "rng": rng_state_dict(self._rng),
+            "rng": self._rng.getstate(),
             "sampler": self._sampler.state_dict(),
             "staged": list(self._staged),
             "n": self._n,
@@ -199,7 +197,7 @@ class KnownNQuantiles:
         est._engine = CollapseEngine.from_state_dict(
             state["engine"], backend=est._backend
         )
-        est._rng = rng_from_state(state["rng"])
+        est._rng = restore_rng(state["rng"])
         est._sampler = BlockSampler.from_state_dict(state["sampler"], est._rng)
         est._staged = [float(v) for v in state["staged"]]
         est._n = int(state["n"])

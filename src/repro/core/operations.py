@@ -101,8 +101,8 @@ def collapse_buffers(
     the sum of input weights; the output *level* is one more than the
     maximum input level (the collapse policy's convention); all inputs but
     the output holder are marked empty.  When a kernel backend is given,
-    its Collapse kernel performs the keep-selection (the numpy backend
-    vectorises it); the default is the heapq-merge reference below.
+    its Collapse kernel performs the keep-selection (the native backend
+    runs it in C); the default is the heapq-merge reference below.
     """
     if len(buffers) < 2:
         raise ValueError(f"Collapse needs at least 2 buffers, got {len(buffers)}")

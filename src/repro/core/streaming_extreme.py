@@ -44,9 +44,8 @@ from repro.kernels import (
     is_nan,
     is_random_access,
     reject_text_batch,
-    rng_from_state,
-    rng_state_dict,
 )
+from repro.sampling.block import restore_rng
 from repro.stats.bounds import extreme_sample_size, stein_failure_bound
 
 __all__ = ["StreamingExtremeEstimator"]
@@ -99,7 +98,7 @@ class StreamingExtremeEstimator:
         cushion = max(8, math.ceil(4.0 * math.sqrt(tail_phi * self._budget)))
         self._capacity = math.ceil(tail_phi * self._budget) + cushion
         self._backend = get_backend(backend)
-        self._rng = rng if rng is not None else self._backend.make_rng(seed)
+        self._rng = rng if rng is not None else random.Random(seed)
         self._probability = 1.0
         self._sampled = 0  # live Bernoulli(p) sample size (heap + uncounted)
         # replint: disable=buffer-arena -- heapq mutates a boxed list in
@@ -156,7 +155,7 @@ class StreamingExtremeEstimator:
             "stein_size": self._stein_size,
             "budget": self._budget,
             "capacity": self._capacity,
-            "rng": rng_state_dict(self._rng),
+            "rng": self._rng.getstate(),
             "probability": self._probability,
             "sampled": self._sampled,
             "heap": [float(v) for v in self._heap],
@@ -176,7 +175,7 @@ class StreamingExtremeEstimator:
         est._budget = int(state["budget"])
         est._capacity = int(state["capacity"])
         est._backend = backend_from_checkpoint(state.get("backend"))
-        est._rng = rng_from_state(state["rng"])
+        est._rng = restore_rng(state["rng"])
         est._probability = float(state["probability"])
         est._sampled = int(state["sampled"])
         heap = [float(v) for v in state["heap"]]

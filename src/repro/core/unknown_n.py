@@ -44,10 +44,8 @@ from repro.kernels import (
     is_nan,
     is_random_access,
     reject_text_batch,
-    rng_from_state,
-    rng_state_dict,
 )
-from repro.sampling.block import BlockSampler
+from repro.sampling.block import BlockSampler, restore_rng
 
 __all__ = ["UnknownNQuantiles", "EstimatorSnapshot"]
 
@@ -59,8 +57,8 @@ class EstimatorSnapshot:
     """Read-only view of an estimator: what a worker 'ships' in Section 6.
 
     :ivar full_buffers: ``(sorted_values, weight)`` pairs of full buffers.
-        The values are columnar copies (``array('d')`` on the python
-        backend, float64 ndarrays on the numpy one), never arena views.
+        The values are columnar ``array('d')`` copies, never arena
+        views.
     :ivar staged: representatives of the buffer currently filling (weight
         :attr:`rate` each).
     :ivar pending: candidate and weight of the incomplete sampling block.
@@ -93,10 +91,10 @@ class UnknownNQuantiles:
     :param seed: seed for the sampling randomness (reproducible runs).
     :param trace: record the collapse tree (diagnostics; costs memory).
     :param allocator: Section 5 buffer-allocation schedule hook.
-    :param backend: kernel backend (``"python"``, ``"numpy"``, an
-        instance, or None to consult ``REPRO_BACKEND``).  The numpy
-        backend vectorises bulk ingest and Collapse; answers follow the
-        same distribution either way.
+    :param backend: kernel backend (``"python"``, ``"native"``, an
+        instance, or None to consult ``REPRO_BACKEND``).  The native
+        backend runs bulk ingest and Collapse in C; answers are
+        bit-identical either way.
     :param arena_buffer: optional shared-memory backing for the engine's
         buffer arena (see :mod:`repro.runtime.shm`): a writable byte
         buffer of at least ``b * k * 8`` bytes.  Behaviour is identical
@@ -142,7 +140,7 @@ class UnknownNQuantiles:
             backend=self._backend,
             arena_buffer=arena_buffer,
         )
-        self._rng = rng if rng is not None else self._backend.make_rng(seed)
+        self._rng = rng if rng is not None else random.Random(seed)
         self._sampler = BlockSampler(rate=1, rng=self._rng)
         # replint: disable=buffer-arena -- O(k) staging for the buffer
         # currently filling; deposit copies it into the arena at k elements
@@ -192,9 +190,8 @@ class UnknownNQuantiles:
 
         Produces the same sampling distribution as per-element
         :meth:`update` (uniform choice per block), but touches the RNG
-        once per *block* — one vectorised draw per batch on the numpy
-        backend — and never copies the batch: the NaN gate below is the
-        only full traversal (rejecting the batch atomically), after which
+        once per *block* and never copies the batch: the NaN gate below is
+        the only full traversal (rejecting the batch atomically), after which
         the sampler walks index windows of the original sequence and
         touches only the O(n / rate) chosen representatives.
         """
@@ -383,7 +380,7 @@ class UnknownNQuantiles:
                 "policy_name": self._plan.policy_name,
             },
             "engine": self._engine.state_dict(),
-            "rng": rng_state_dict(self._rng),
+            "rng": self._rng.getstate(),
             "sampler": self._sampler.state_dict(),
             "staged": list(self._staged),
             "n": self._n,
@@ -416,7 +413,7 @@ class UnknownNQuantiles:
         est._engine = CollapseEngine.from_state_dict(
             state["engine"], backend=est._backend
         )
-        est._rng = rng_from_state(state["rng"])
+        est._rng = restore_rng(state["rng"])
         est._sampler = BlockSampler.from_state_dict(state["sampler"], est._rng)
         est._staged = [float(v) for v in state["staged"]]
         est._n = int(state["n"])
@@ -446,18 +443,15 @@ class UnknownNQuantiles:
 
 
 def _columnar(data: Sequence[float]) -> Sequence[float]:
-    """Compact columnar copy of a buffer view for a snapshot.
+    """Compact ``array('d')`` copy of a buffer view for a snapshot.
 
     Snapshots must not alias the arena (its slots are rewritten by later
-    collapses), but the copy stays columnar — ``array('d')`` for a
-    memoryview, an ndarray for an ndarray — so shipping a snapshot never
-    boxes its elements.
+    collapses), but the copy stays columnar — a memoryview arena slot is
+    copied as one memcpy — so shipping a snapshot never boxes its
+    elements.
     """
     if isinstance(data, memoryview):
         copy = array("d")
         copy.frombytes(bytes(data))
         return copy
-    copier = getattr(data, "copy", None)  # ndarray slices (and lists)
-    if copier is not None:
-        return copier()  # type: ignore[no-any-return]
     return array("d", data)

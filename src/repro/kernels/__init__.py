@@ -9,20 +9,15 @@ small kernel surface with two interchangeable backends:
 * ``python`` — pure standard library, dependency-free, bit-identical to
   the historical element-at-a-time implementation.  Always available and
   always the default.
-* ``numpy`` — vectorised kernels (one RNG draw per *batch* of sampling
-  blocks, argsort/cumsum/searchsorted Collapse, ``np.sort`` buffers).
-  Selected with ``backend="numpy"`` on any estimator or via the
-  ``REPRO_BACKEND`` environment variable; optional, and
-
-  distribution-identical to the python backend (property-tested).
 * ``native`` — the compiled C extension (``repro.kernels._native``,
   built by ``setup.py``): the three hot kernels run directly against
   the arena's buffer protocol with no per-element python objects.
-  Selected the same two ways; optional (requires the compiled module),
-  and *bit-identical* to the python backend under a shared seed (it
-  uses the same :class:`random.Random` kind and draw law).  When the
-  extension is missing, an environment-variable request degrades to
-  numpy (then python) with a warning; an explicit request raises
+  Selected with ``backend="native"`` on any estimator or via the
+  ``REPRO_BACKEND`` environment variable; optional (requires the
+  compiled module), and *bit-identical* to the python backend under a
+  shared seed (it uses the same :class:`random.Random` kind and draw
+  law).  When the extension is missing, an environment-variable request
+  degrades to python with a warning; an explicit request raises
   :class:`BackendUnavailableError` naming the build remedy.
 
 The kernel surface (see :class:`KernelBackend`):
@@ -38,17 +33,18 @@ The kernel surface (see :class:`KernelBackend`):
    queries between updates (the online-aggregation pattern of Section
    1.5) cost O(log) instead of a full re-merge.
 
-Backends also own RNG construction (:meth:`KernelBackend.make_rng`) so a
-numpy-backed estimator is seed-reproducible and checkpointable with the
-same bit-identical restore-and-replay guarantee as the python one:
-:func:`rng_state_dict` / :func:`rng_from_state` capture and restore either
-a :class:`random.Random` or a ``numpy.random.Generator``.
+Both backends draw from one :class:`random.Random`, so every estimator
+checkpoints its RNG as the historical ``getstate()`` tuple and restores
+it with :func:`repro.sampling.block.restore_rng`, whichever backend wrote
+or reads the checkpoint.  numpy is not a backend; a float64 ndarray is
+still accepted as an *input* batch and read without copying.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import random
 import warnings
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
@@ -65,8 +61,6 @@ __all__ = [
     "batch_contains_nan",
     "is_nan",
     "is_random_access",
-    "rng_state_dict",
-    "rng_from_state",
     "merge_views",
     "BACKEND_ENV_VAR",
 ]
@@ -144,7 +138,7 @@ class MergedView:
     ``values[i]`` is the i-th element of the merged sort order and
     ``cumweights[i]`` the total weight of elements ``0..i``.  The storage
     is *columnar* and backend-native — plain lists on the python backend,
-    float64/int64 ndarrays on the numpy one — but every answer leaves as a
+    float64/int64 memoryviews on the native one — but every answer leaves as a
     plain ``float``/``int``, so queries are identical by construction
     across backends.
     """
@@ -233,33 +227,6 @@ def merge_views(a: MergedView, b: MergedView) -> MergedView:
 
 
 # ----------------------------------------------------------------------
-# RNG state capture (backend-polymorphic; used by every checkpoint)
-# ----------------------------------------------------------------------
-
-def rng_state_dict(rng: Any) -> object:
-    """Restorable state of a backend RNG.
-
-    A :class:`random.Random` serialises to its historical ``getstate()``
-    tuple (so python-backend checkpoints are byte-compatible with earlier
-    releases); a numpy-backed RNG serialises to a tagged dict.
-    """
-    if hasattr(rng, "getstate"):
-        return rng.getstate()
-    return rng.state_dict()
-
-
-def rng_from_state(state: Any) -> Any:
-    """Rebuild the RNG :func:`rng_state_dict` captured (either kind)."""
-    if isinstance(state, dict) and state.get("kind") == "numpy":
-        from repro.kernels.numpy_backend import NumpyRNG
-
-        return NumpyRNG.from_state_dict(state)
-    from repro.sampling.block import restore_rng
-
-    return restore_rng(state)
-
-
-# ----------------------------------------------------------------------
 # Backend protocol + registry
 # ----------------------------------------------------------------------
 
@@ -267,15 +234,12 @@ class KernelBackend:
     """The kernel surface every backend implements.
 
     See :mod:`repro.kernels.python_backend` for the reference
-    implementation and :mod:`repro.kernels.numpy_backend` for the
-    vectorised one.  Instances are stateless singletons; estimators hold
+    implementation and :mod:`repro.kernels.native_backend` for the
+    compiled one.  Instances are stateless singletons; estimators hold
     a reference and pass it down to samplers, buffers, and the engine.
     """
 
     name = "abstract"
-
-    def make_rng(self, seed: int | None = None) -> Any:
-        raise NotImplementedError
 
     def as_batch(self, values: Sequence[float]) -> Sequence[float]:
         """Normalise a random-access batch for this backend's kernels."""
@@ -299,14 +263,14 @@ class KernelBackend:
         start: int,
         n_blocks: int,
         rate: int,
-        rng: Any,
+        rng: random.Random,
     ) -> Sequence[float]:
         """One uniform representative per complete block of ``rate``.
 
         Resolves blocks ``values[start : start + n_blocks * rate]``; the
         caller advances its cursor by ``n_blocks * rate``.  The return is
-        backend-native (a list on the python backend, an ndarray on the
-        numpy one) so bulk ingest never boxes.
+        backend-native (a list on the python backend, a float64
+        memoryview on the native one) so bulk ingest never boxes.
         """
         raise NotImplementedError
 
@@ -329,8 +293,8 @@ class KernelBackend:
         """Union of two flattened views (the query-cache merge kernel).
 
         The generic two-pointer reference below is correct for any
-        backend; the numpy backend overrides it with a vectorised
-        concatenate + stable-argsort that never boxes.
+        backend; the native backend overrides it with one C merge that
+        never boxes.
         """
         return merge_views(a, b)
 
@@ -338,9 +302,9 @@ class KernelBackend:
     def alloc_values(self, count: int) -> Any:
         """Allocate ``count`` contiguous zeroed float64 element slots.
 
-        The storage form is the backend's choice (``array('d')`` /
-        ndarray); only :meth:`write_slot` and :meth:`slot_view` ever
-        touch it.
+        The storage form is the backend's choice (``array('d')`` on both
+        shipped backends); only :meth:`write_slot` and :meth:`slot_view`
+        ever touch it.
         """
         raise NotImplementedError
 
@@ -374,10 +338,6 @@ def available_backends() -> list[str]:
     """Names accepted by :func:`get_backend`, in preference order."""
     names = ["python"]
     with contextlib.suppress(ImportError):
-        import numpy  # noqa: F401
-
-        names.append("numpy")
-    with contextlib.suppress(ImportError):
         from repro.kernels import _native  # noqa: F401
 
         names.append("native")
@@ -388,11 +348,11 @@ def get_backend(backend: "str | KernelBackend | None" = None) -> KernelBackend:
     """Resolve a backend name (or pass an instance through).
 
     ``None`` consults the ``REPRO_BACKEND`` environment variable and
-    falls back to ``python``.  An *explicit* ``"numpy"``/``"native"``
-    raises :class:`BackendUnavailableError` naming the install remedy
-    when the dependency is missing; the same request coming from the
-    environment variable degrades with a warning instead (native falls
-    back to numpy, then python), so deployments can set the variable
+    falls back to ``python``.  An *explicit* ``"native"`` raises
+    :class:`BackendUnavailableError` naming the build remedy when the
+    compiled extension is missing; the same request coming from the
+    environment variable degrades to python with a warning instead, so
+    deployments can set the variable
     fleet-wide without breaking hosts that lack the compiled wheel.
     """
     if isinstance(backend, KernelBackend):
@@ -414,36 +374,16 @@ def get_backend(backend: "str | KernelBackend | None" = None) -> KernelBackend:
                     "extension repro.kernels._native is not built; build "
                     "it with `python setup.py build_ext --inplace` (or "
                     "reinstall with `pip install -e .` on a host with a C "
-                    "compiler), or use backend='numpy'/'python'"
+                    "compiler), or use backend='python'"
                 ) from None
-            fallback = "numpy" if "numpy" in available_backends() else "python"
             warnings.warn(
                 f"{BACKEND_ENV_VAR}=native but the compiled extension is "
-                f"not built; falling back to the {fallback} backend",
+                "not built; falling back to the python backend",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return get_backend(fallback)
+            return get_backend("python")
         return NATIVE_BACKEND
-    if name == "numpy":
-        try:
-            from repro.kernels.numpy_backend import NUMPY_BACKEND
-        except ImportError:
-            if explicit:
-                raise BackendUnavailableError(
-                    "backend 'numpy' was requested but numpy is not "
-                    "installed; install numpy or use backend='python'"
-                ) from None
-            warnings.warn(
-                f"{BACKEND_ENV_VAR}=numpy but numpy is not installed; "
-                "falling back to the pure-python backend",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            from repro.kernels.python_backend import PYTHON_BACKEND
-
-            return PYTHON_BACKEND
-        return NUMPY_BACKEND
     raise ValueError(
         f"unknown kernel backend {name!r}; available: {available_backends()}"
     )
@@ -452,10 +392,11 @@ def get_backend(backend: "str | KernelBackend | None" = None) -> KernelBackend:
 def backend_from_checkpoint(name: "str | None") -> KernelBackend:
     """Resolve a checkpointed backend name, degrading instead of failing.
 
-    Checkpoint payloads are backend-agnostic plain floats, so a summary
-    saved under numpy restores correctly on a numpy-free host — it just
-    runs on the python kernels from there on (with a warning).  Absent
-    names (pre-kernel checkpoints) mean python.
+    Checkpoint payloads are backend-agnostic plain floats and both
+    backends share one RNG kind, so a summary saved under native restores
+    bit-identically on a build-free host — it just runs on the python
+    kernels from there on (with a warning).  Absent names (pre-kernel
+    checkpoints) mean python.
     """
     try:
         return get_backend(name if name is not None else "python")

@@ -18,8 +18,7 @@ same shm descriptors.
 Determinism contract: the RNG is :class:`random.Random` (the reference
 kind) and the C block-sampling kernel calls it once per block with the
 reference draw law ``int(random() * rate)``, so the native backend is
-*bit-identical* to the python backend under a shared seed — stronger
-than the numpy backend's distribution-identity — and checkpoints
+*bit-identical* to the python backend under a shared seed and checkpoints
 round-trip across the two backends without translation.
 """
 
@@ -97,9 +96,6 @@ class NativeBackend(KernelBackend):
 
     name = "native"
 
-    def make_rng(self, seed: int | None = None) -> random.Random:
-        return random.Random(seed)
-
     def as_batch(self, values: Sequence[float]) -> Sequence[float]:
         # Float64 buffers pass through untouched (zero-copy; slicing in
         # the rate==1 sampler path stays zero-copy too); anything else
@@ -137,7 +133,7 @@ class NativeBackend(KernelBackend):
         start: int,
         n_blocks: int,
         rate: int,
-        rng: Any,
+        rng: random.Random,
     ) -> memoryview:
         # The C kernel calls ``rng.random`` once per block with the
         # reference law int(random() * rate): same draw count, same

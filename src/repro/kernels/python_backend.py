@@ -3,7 +3,7 @@
 Bit-identical to the historical element-at-a-time implementation: the
 same RNG kind (:class:`random.Random`), the same draw sequence for block
 sampling, and Collapse delegating to the heapq-merge reference in
-:mod:`repro.core.operations`.  Every other backend is property-tested
+:mod:`repro.core.operations`.  The native backend is property-tested
 against this one.
 """
 
@@ -31,9 +31,6 @@ class PythonBackend(KernelBackend):
     """Pure standard-library kernels (the default)."""
 
     name = "python"
-
-    def make_rng(self, seed: int | None = None) -> random.Random:
-        return random.Random(seed)
 
     def as_batch(self, values: Sequence[float]) -> Sequence[float]:
         return values
@@ -75,7 +72,7 @@ class PythonBackend(KernelBackend):
         start: int,
         n_blocks: int,
         rate: int,
-        rng: Any,
+        rng: random.Random,
     ) -> list[float]:
         # One uniform draw per block, matching BlockSampler.offer_many's
         # historical sequence exactly: int(random() * rate) per block.

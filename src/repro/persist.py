@@ -189,6 +189,26 @@ def to_state_dict(obj: Any) -> dict[str, Any]:
     )
 
 
+def _refuse_removed_backend(state: dict[str, Any]) -> None:
+    """Reject checkpoints written by the removed ``numpy`` kernel backend.
+
+    That backend drew from its own PCG64 stream and checkpointed it as a
+    tagged dict, which no remaining backend can continue: restoring the
+    buffers alone would silently break the bit-identical
+    restore-and-replay guarantee, so the load fails with a typed error
+    instead.  The backend tag sits at the top of every estimator state,
+    or under ``inner`` for a :class:`MultiQuantiles`.
+    """
+    for part in (state, state.get("inner")):
+        if isinstance(part, dict) and part.get("backend") == "numpy":
+            raise CheckpointVersionError(
+                "checkpoint was written by the numpy kernel backend, which "
+                "this release removed; its RNG state cannot be replayed. "
+                "Re-ingest the stream, or restore the checkpoint with the "
+                "previous release"
+            )
+
+
 def from_state_dict(state: dict[str, Any]) -> Any:
     """Rebuild the object a state dict describes, dispatching on its kind."""
     if not isinstance(state, dict) or "kind" not in state:
@@ -200,6 +220,7 @@ def from_state_dict(state: dict[str, Any]) -> Any:
             f"(this build reads version {STATE_VERSION})"
         )
     kind = state["kind"]
+    _refuse_removed_backend(state)
     if kind == "snapshot":
         return _snapshot_from_state_dict(state)
     try:

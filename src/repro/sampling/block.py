@@ -66,7 +66,7 @@ class BlockSampler:
 
     __slots__ = ("_rate", "_rng", "_seen_in_block", "_candidate")
 
-    def __init__(self, rate: int, rng: Any) -> None:
+    def __init__(self, rate: int, rng: random.Random) -> None:
         if rate < 1:
             raise ValueError(f"rate must be >= 1, got {rate}")
         self._rate = rate
@@ -139,16 +139,16 @@ class BlockSampler:
         The workhorse behind the estimators' ``update_batch``: the open
         block (if any) is finished element-by-element, whole interior
         blocks are resolved through the kernel backend's batch kernel
-        (one vectorised draw per batch on the numpy backend, one scalar
-        draw per block on the python one), and the tail opens a new
-        partial block.  Returns the completed blocks' representatives.
+        (one scalar draw per block on either backend), and the tail opens
+        a new partial block.  Returns the completed blocks' representatives.
 
         The return is *backend-native*: when the window starts on a block
         boundary and ends on one (the steady state of bulk ingest, where
         the enclosing estimator sizes windows to whole buffers), the
-        backend kernel's output — an ndarray on the numpy backend, a
-        compact slice for ``rate == 1`` — is passed through untouched, so
-        representatives flow into the arena without a boxed-list detour.
+        backend kernel's output — a float64 memoryview on the native
+        backend, a compact slice for ``rate == 1`` — is passed through
+        untouched, so representatives flow into the arena without a
+        boxed-list detour.
         A plain list is returned only when the window straddles an open
         block.
         """
@@ -207,7 +207,7 @@ class BlockSampler:
 
     @classmethod
     def from_state_dict(
-        cls, state: dict[str, Any], rng: Any
+        cls, state: dict[str, Any], rng: random.Random
     ) -> "BlockSampler":
         """Rebuild a sampler mid-block; ``rng`` is the caller's restored RNG."""
         sampler = cls(rate=int(state["rate"]), rng=rng)

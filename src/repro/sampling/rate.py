@@ -18,7 +18,7 @@ import random
 from collections.abc import Sequence
 from typing import Any
 
-from repro.sampling.block import BlockSampler
+from repro.sampling.block import BlockSampler, restore_rng
 
 __all__ = ["BernoulliSampler", "SystematicSampler"]
 
@@ -31,14 +31,14 @@ class BernoulliSampler:
     def __init__(
         self,
         probability: float,
-        rng: Any = None,
+        rng: random.Random | None = None,
         *,
         seed: int | None = None,
     ) -> None:
         if not 0.0 < probability <= 1.0:
             raise ValueError(f"probability must be in (0, 1], got {probability}")
         self._probability = probability
-        self._rng: Any = rng if rng is not None else random.Random(seed)
+        self._rng = rng if rng is not None else random.Random(seed)
         self._offered = 0
         self._kept = 0
 
@@ -68,48 +68,34 @@ class BernoulliSampler:
     def offer_many(self, values: Sequence[float]) -> list[float]:
         """Offer a whole batch; return the kept elements in stream order.
 
-        Same independent-inclusion law as :meth:`offer`.  With an RNG that
-        supports vectorised draws (the numpy backend's), the whole batch
-        costs one uniform draw; a plain :class:`random.Random` falls back
-        to the per-element loop, bit-identical to repeated :meth:`offer`.
+        Same independent-inclusion law as :meth:`offer` and bit-identical
+        to repeated :meth:`offer` calls: one uniform draw per element.
         """
         count = len(values)
         if self._probability >= 1.0:
             self._offered += count
             self._kept += count
             return [float(v) for v in values]
-        if hasattr(self._rng, "random_array"):
-            uniforms = self._rng.random_array(count)
-            kept = [
-                float(value)
-                for value, u in zip(values, uniforms)
-                if u < self._probability
-            ]
-        else:
-            rnd = self._rng.random
-            p = self._probability
-            kept = [float(value) for value in values if rnd() < p]
+        rnd = self._rng.random
+        p = self._probability
+        kept = [float(value) for value in values if rnd() < p]
         self._offered += count
         self._kept += len(kept)
         return kept
 
     def state_dict(self) -> dict[str, Any]:
         """The sampler's restorable state, including its RNG state."""
-        from repro.kernels import rng_state_dict
-
         return {
             "probability": self._probability,
             "offered": self._offered,
             "kept": self._kept,
-            "rng": rng_state_dict(self._rng),
+            "rng": self._rng.getstate(),
         }
 
     @classmethod
     def from_state_dict(cls, state: dict[str, Any]) -> "BernoulliSampler":
         """Rebuild a sampler exactly as :meth:`state_dict` captured it."""
-        from repro.kernels import rng_from_state
-
-        sampler = cls(float(state["probability"]), rng_from_state(state["rng"]))
+        sampler = cls(float(state["probability"]), restore_rng(state["rng"]))
         sampler._offered = int(state["offered"])
         sampler._kept = int(state["kept"])
         return sampler
@@ -127,7 +113,7 @@ class SystematicSampler:
     def __init__(
         self,
         block: int,
-        rng: Any = None,
+        rng: random.Random | None = None,
         *,
         seed: int | None = None,
     ) -> None:

@@ -17,7 +17,9 @@ matter how long the process lives.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
+from collections.abc import Callable
 from typing import Any
 
 __all__ = [
@@ -183,11 +185,23 @@ class MetricRegistry:
 #
 # In the multi-process layout every worker owns its own registry; the
 # worker answering a ``/metrics`` scrape collects each peer's
-# ``to_dict()`` payload and merges them here.  Counters and gauges sum
-# across workers (sheds, requests, queue depths are all additive over
-# disjoint shards); histogram *percentiles* cannot be merged honestly
-# from summaries, so each worker's histogram rides through re-labelled
-# with ``worker="N"`` instead of pretending a merged p99 exists.
+# ``to_dict()`` payload and merges them here.  Counters sum across
+# workers (sheds, requests are additive over disjoint shards); gauges
+# combine per name through ``_GAUGE_MERGE``; histogram *percentiles*
+# cannot be merged honestly from summaries, so each worker's histogram
+# rides through re-labelled with ``worker="N"`` instead of pretending a
+# merged p99 exists.
+
+#: How each gauge the server sets combines across workers.  Workers
+#: recover concurrently, so the fleet's recovery time is the slowest
+#: worker's, not the total; tenant counts and open breakers are disjoint
+#: per shard and add up.  An unlisted gauge sums.
+_GAUGE_MERGE: dict[str, Callable[[float, float], float]] = {
+    "recovery_ms": max,
+    "tenants_restored": operator.add,
+    "tenants_fallback_generation": operator.add,
+    "breaker_open": operator.add,
+}
 
 def _relabel(rendered: str, worker: int) -> str:
     label = f'worker="{worker}"'
@@ -202,8 +216,9 @@ def merge_metric_payloads(
     """One aggregate payload from per-worker ``to_dict()`` payloads.
 
     ``payloads`` maps worker shard index to that worker's payload.
-    Counters and gauges with the same rendered name sum; histograms are
-    kept per-worker under a ``worker="N"`` label.
+    Counters with the same rendered name sum; gauges combine by their
+    name's entry in ``_GAUGE_MERGE`` (``recovery_ms`` takes the maximum);
+    histograms are kept per-worker under a ``worker="N"`` label.
     """
     counters: dict[str, int] = {}
     gauges: dict[str, float] = {}
@@ -213,7 +228,11 @@ def merge_metric_payloads(
         for rendered, value in payload.get("counters", {}).items():
             counters[rendered] = counters.get(rendered, 0) + int(value)
         for rendered, value in payload.get("gauges", {}).items():
-            gauges[rendered] = gauges.get(rendered, 0.0) + float(value)
+            value = float(value)
+            if rendered in gauges:
+                combine = _GAUGE_MERGE.get(rendered.partition("{")[0], operator.add)
+                value = combine(gauges[rendered], value)
+            gauges[rendered] = value
         for rendered, stats in payload.get("histograms", {}).items():
             histograms[_relabel(rendered, worker)] = dict(stats)
     return {

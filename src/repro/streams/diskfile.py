@@ -95,8 +95,7 @@ def read_float_chunks(
 
     The bulk-ingest counterpart of :func:`read_floats`: each chunk is a
     random-access sequence the estimators' ``update_batch`` can sample
-    with one RNG draw per block (and the numpy backend can vectorise)
-    instead of boxing every element through a Python float.
+    with one RNG draw per block instead of boxing every element through a Python float.
 
     ``start``/``stop`` are *byte* offsets bounding the scan (both must be
     multiples of 8; ``stop=None`` means end-of-file), so several readers

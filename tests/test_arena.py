@@ -37,14 +37,15 @@ from repro.core.unknown_n import EstimatorSnapshot, UnknownNQuantiles
 from repro.kernels import get_backend
 
 try:
-    import numpy as np
+    from repro.kernels import _native  # noqa: F401
 
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised in numpy-free installs
-    np = None
-    HAVE_NUMPY = False
+    HAVE_NATIVE = True
+except ImportError:  # pragma: no cover - exercised on build-free hosts
+    HAVE_NATIVE = False
 
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+requires_native = pytest.mark.skipif(
+    not HAVE_NATIVE, reason="compiled extension not built"
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -128,14 +129,6 @@ class TestBufferArena:
         arena = BufferArena(1, 3)
         arena.write(0, array("d", [3.0, 1.0, 2.0]), sort=True)
         assert list(arena.view(0, 3)) == [1.0, 2.0, 3.0]
-
-    @requires_numpy
-    def test_numpy_backend_storage_is_ndarray(self):
-        arena = BufferArena(2, 4, backend=get_backend("numpy"))
-        arena.write(0, [4.0, 2.0, 3.0, 1.0], sort=True)
-        view = arena.view(0, 4)
-        assert isinstance(view, np.ndarray)
-        assert view.tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_buffer_capacity_must_match_arena(self):
         arena = BufferArena(2, 4)
@@ -419,7 +412,7 @@ sorted_column = st.lists(
 ).map(sorted)
 
 
-@requires_numpy
+@requires_native
 class TestArenaCollapseEquivalence:
     @settings(max_examples=50, deadline=None)
     @given(
@@ -431,7 +424,7 @@ class TestArenaCollapseEquivalence:
         self, columns, weights, low_for_even
     ):
         outputs = []
-        for name in ("python", "numpy"):
+        for name in ("python", "native"):
             backend = get_backend(name)
             arena = BufferArena(len(columns), 4, backend=backend)
             buffers = []
@@ -449,12 +442,20 @@ class TestArenaCollapseEquivalence:
         weights=st.lists(st.integers(1, 4), min_size=3, max_size=3),
     )
     def test_merged_views_agree_across_backends(self, columns, weights):
-        inputs = [(col, weights[i]) for i, col in enumerate(columns)]
-        py = get_backend("python").merged_view(inputs)
-        vec = get_backend("numpy").merged_view(inputs)
-        assert py.total_weight == vec.total_weight
-        positions = [1, py.total_weight // 2 + 1, py.total_weight]
-        assert [py.select(p) for p in positions] == [vec.select(p) for p in positions]
+        # Arena slot views (not plain lists) as the merge inputs.
+        views = []
+        for name in ("python", "native"):
+            backend = get_backend(name)
+            arena = BufferArena(len(columns), 4, backend=backend)
+            inputs = []
+            for slot, column in enumerate(columns):
+                arena.write(slot, column, sort=False)
+                inputs.append((arena.view(slot, 4), weights[slot]))
+            views.append(backend.merged_view(inputs))
+        py, nat = views
+        assert py.total_weight == nat.total_weight
+        positions = range(1, py.total_weight + 1)
+        assert [py.select(p) for p in positions] == [nat.select(p) for p in positions]
 
 
 # ----------------------------------------------------------------------

@@ -3,23 +3,19 @@
 Three layers of confidence:
 
 * **Registry semantics** — explicit names, the ``REPRO_BACKEND``
-  environment variable, instance passthrough, and the exact failure
-  modes when numpy is missing (explicit request raises; env-var request
-  degrades with a warning; checkpoints degrade with a warning).
-* **Property-tested backend equivalence** — hypothesis drives random
-  weighted buffers and batches through both backends and requires the
-  same blocks, the same Collapse keeps, and the same merged views; with
-  a shared ``random.Random`` the two backends are *bit-identical*
-  end to end.
-* **numpy end-to-end** — accuracy, seed reproducibility, and the
-  checkpoint restore-and-replay guarantee on the vectorised backend.
+  environment variable, instance passthrough, and the rejection of
+  ``numpy``, which is an input type but not a backend.
+* **Merged views and the query cache** — the reference view kernels
+  and the memoised view's transparency.
+* **RNG checkpoints** — the historical ``getstate()`` tuple shape.
+
+Native-vs-python bit-identity lives in ``test_native.py``.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +25,6 @@ from repro.core.params import Plan
 from repro.core.unknown_n import UnknownNQuantiles
 from repro.kernels import (
     BACKEND_ENV_VAR,
-    BackendUnavailableError,
     MergedView,
     available_backends,
     backend_from_checkpoint,
@@ -37,28 +32,11 @@ from repro.kernels import (
     is_random_access,
     merge_views,
     reject_text_batch,
-    rng_from_state,
-    rng_state_dict,
 )
 from repro.kernels.python_backend import PYTHON_BACKEND
-
-try:
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised in numpy-free installs
-    np = None
-    HAVE_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+from repro.sampling.block import restore_rng
 
 PLAN = Plan(0.05, 0.01, 3, 50, 2, 0.5, 6, 3, "mrl")
-
-
-def _without_numpy(monkeypatch):
-    """Make numpy (and the numpy backend) unimportable inside the test."""
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    monkeypatch.setitem(sys.modules, "repro.kernels.numpy_backend", None)
 
 
 # ----------------------------------------------------------------------
@@ -86,54 +64,42 @@ class TestBackendRegistry:
         names = available_backends()
         assert names[0] == "python"
 
-    @requires_numpy
-    def test_numpy_listed_when_installed(self):
-        assert "numpy" in available_backends()
-
-    @requires_numpy
-    def test_env_var_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert get_backend().name == "numpy"
+    def test_numpy_never_listed(self):
+        assert "numpy" not in available_backends()
 
     def test_env_var_python_wins(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "python")
         assert get_backend() is PYTHON_BACKEND
 
-    def test_explicit_numpy_raises_when_missing(self, monkeypatch):
-        _without_numpy(monkeypatch)
-        with pytest.raises(BackendUnavailableError, match="numpy"):
+    def test_explicit_numpy_is_unknown_backend(self):
+        with pytest.raises(ValueError, match="unknown kernel backend 'numpy'"):
             get_backend("numpy")
 
-    def test_env_numpy_degrades_with_warning_when_missing(self, monkeypatch):
-        _without_numpy(monkeypatch)
+    def test_env_numpy_is_unknown_backend(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert get_backend() is PYTHON_BACKEND
-
-    def test_checkpoint_backend_degrades_when_missing(self, monkeypatch):
-        _without_numpy(monkeypatch)
-        with pytest.warns(RuntimeWarning, match="restoring with the python"):
-            assert backend_from_checkpoint("numpy") is PYTHON_BACKEND
+        with pytest.raises(ValueError, match="unknown kernel backend 'numpy'"):
+            get_backend()
 
     def test_checkpoint_backend_absent_means_python(self):
         assert backend_from_checkpoint(None) is PYTHON_BACKEND
 
-    def test_estimator_explicit_numpy_raises_when_missing(self, monkeypatch):
-        _without_numpy(monkeypatch)
-        with pytest.raises(BackendUnavailableError):
+    def test_estimator_numpy_is_unknown_backend(self):
+        with pytest.raises(ValueError, match="unknown kernel backend"):
             UnknownNQuantiles(plan=PLAN, seed=1, backend="numpy")
 
-    def test_cli_explicit_numpy_exits_2_when_missing(
-        self, monkeypatch, tmp_path, capsys
-    ):
+    def test_cli_backend_numpy_exits_2(self, monkeypatch, tmp_path, capsys):
         from repro.__main__ import main
 
-        _without_numpy(monkeypatch)
         path = tmp_path / "v.txt"
         path.write_text("1 2 3\n")
-        code = main(["quantile", str(path), "--backend", "numpy", "--seed", "1"])
-        assert code == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["quantile", str(path), "--backend", "numpy", "--seed", "1"])
+        assert excinfo.value.code == 2
         assert "numpy" in capsys.readouterr().err
+        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
+        for command in ("quantile", "histogram"):
+            assert main([command, str(path), "--seed", "1"]) == 2
+            assert "unknown kernel backend 'numpy'" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -224,95 +190,6 @@ class TestMergedView:
 
 
 # ----------------------------------------------------------------------
-# Python vs numpy kernel equivalence (property-tested)
-# ----------------------------------------------------------------------
-
-@requires_numpy
-class TestBackendEquivalence:
-    @settings(max_examples=50, deadline=None)
-    @given(
-        n_blocks=st.integers(1, 20),
-        rate=st.integers(1, 16),
-        start=st.integers(0, 8),
-        seed=st.integers(0, 2**20),
-    )
-    def test_block_representatives_bit_identical_with_shared_rng(
-        self, n_blocks, rate, start, seed
-    ):
-        # With the same random.Random both backends must pick the *same*
-        # elements: the numpy backend's scalar fallback replays the
-        # python draw law int(random() * rate) per block.
-        numpy_backend = get_backend("numpy")
-        values = [float(i) for i in range(start + n_blocks * rate + 3)]
-        py = PYTHON_BACKEND.block_representatives(
-            values, start, n_blocks, rate, random.Random(seed)
-        )
-        vec = numpy_backend.block_representatives(
-            values, start, n_blocks, rate, random.Random(seed)
-        )
-        assert list(py) == list(vec)
-
-    @settings(max_examples=30, deadline=None)
-    @given(n_blocks=st.integers(1, 50), rate=st.integers(1, 32), seed=st.integers(0, 99))
-    def test_block_representatives_stay_in_their_blocks(self, n_blocks, rate, seed):
-        numpy_backend = get_backend("numpy")
-        values = [float(i) for i in range(n_blocks * rate)]
-        chosen = numpy_backend.block_representatives(
-            values, 0, n_blocks, rate, numpy_backend.make_rng(seed)
-        )
-        assert len(chosen) == n_blocks
-        for block, value in enumerate(chosen):
-            assert block * rate <= value < (block + 1) * rate
-
-    @settings(max_examples=60, deadline=None)
-    @given(inputs=weighted_buffers, data=st.data())
-    def test_select_collapse_identical(self, inputs, data):
-        numpy_backend = get_backend("numpy")
-        total = sum(len(d) * w for d, w in inputs)
-        stride = sum(w for _, w in inputs)
-        capacity = total // stride
-        if capacity == 0:
-            return
-        offset = data.draw(st.integers(1, stride))
-        py = PYTHON_BACKEND.select_collapse(inputs, capacity, offset)
-        vec = numpy_backend.select_collapse(inputs, capacity, offset)
-        assert list(py) == list(vec)
-
-    @settings(max_examples=60, deadline=None)
-    @given(inputs=weighted_buffers)
-    def test_merged_view_identical(self, inputs):
-        numpy_backend = get_backend("numpy")
-        py = PYTHON_BACKEND.merged_view(inputs)
-        vec = numpy_backend.merged_view(inputs)
-        assert sorted(py.values) == sorted(vec.values)
-        assert_same_answers(py, vec)
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        seed=st.integers(0, 2**16),
-        chunks=st.lists(st.integers(1, 600), min_size=1, max_size=5),
-    )
-    def test_estimators_bit_identical_with_shared_rng_kind(self, seed, chunks):
-        # Same plan, same data, same random.Random seed: the numpy-backed
-        # estimator must give the *exact* answers of the python one,
-        # because every kernel is value-identical and the RNG sequence is
-        # shared.  (With each backend's native RNG the draws differ; only
-        # the distribution is shared — covered by the accuracy test.)
-        data_rng = random.Random(seed ^ 0x5A5A)
-        py_est = UnknownNQuantiles(plan=PLAN, rng=random.Random(seed))
-        np_est = UnknownNQuantiles(
-            plan=PLAN, rng=random.Random(seed), backend="numpy"
-        )
-        phis = [0.1, 0.5, 0.9]
-        for chunk in chunks:
-            batch = [data_rng.uniform(-50, 50) for _ in range(chunk)]
-            py_est.update_batch(batch)
-            np_est.update_batch(batch)
-            assert py_est.query_many(phis) == np_est.query_many(phis)
-        assert py_est.n == np_est.n
-
-
-# ----------------------------------------------------------------------
 # Query cache: answers never change with caching on or off
 # ----------------------------------------------------------------------
 
@@ -357,120 +234,15 @@ class TestQueryCacheTransparency:
 
 
 # ----------------------------------------------------------------------
-# numpy end-to-end
+# RNG checkpoints
 # ----------------------------------------------------------------------
-
-@requires_numpy
-class TestNumpyEndToEnd:
-    def test_accuracy_on_uniform_stream(self):
-        from repro.stats.rank import is_eps_approximate
-
-        rng = random.Random(11)
-        data = [rng.random() for _ in range(20_000)]
-        est = UnknownNQuantiles(eps=0.05, delta=0.01, seed=11, backend="numpy")
-        est.update_batch(data)
-        ordered = sorted(data)
-        for phi in (0.1, 0.5, 0.9, 0.99):
-            assert is_eps_approximate(ordered, est.query(phi), phi, 0.05)
-
-    def test_ndarray_ingest(self):
-        est = UnknownNQuantiles(plan=PLAN, seed=5, backend="numpy")
-        est.update_batch(np.linspace(0.0, 1.0, 5_000))
-        assert est.n == 5_000
-        assert 0.4 <= est.query(0.5) <= 0.6
-
-    def test_nan_batch_rejected_atomically(self):
-        est = UnknownNQuantiles(plan=PLAN, seed=5, backend="numpy")
-        batch = np.array([1.0, 2.0, np.nan, 4.0])
-        with pytest.raises(ValueError, match="NaN"):
-            est.update_batch(batch)
-        assert est.n == 0  # nothing ingested from the poisoned batch
-
-    def test_seed_reproducibility(self):
-        rng = random.Random(7)
-        data = [rng.random() for _ in range(30_000)]
-        answers = []
-        for _ in range(2):
-            est = UnknownNQuantiles(eps=0.05, delta=0.01, seed=99, backend="numpy")
-            est.update_batch(data)
-            answers.append(est.query_many([0.25, 0.5, 0.75]))
-        assert answers[0] == answers[1]
-
-    def test_state_dict_is_json_safe_and_tagged(self):
-        est = UnknownNQuantiles(plan=PLAN, seed=2, backend="numpy")
-        est.update_batch([float(i) for i in range(1_000)])
-        state = est.to_state_dict()
-        assert state["backend"] == "numpy"
-        assert state["rng"]["kind"] == "numpy"
-        json.dumps(state)  # no np.float64 / np.int64 leakage
-
-    def test_checkpoint_restore_and_replay_bit_identical(self):
-        rng = random.Random(13)
-        first = [rng.random() for _ in range(10_000)]
-        rest = [rng.random() for _ in range(10_000)]
-
-        live = UnknownNQuantiles(eps=0.05, delta=0.01, seed=21, backend="numpy")
-        live.update_batch(first)
-        # JSON round-trip, as repro.persist frames it on disk.
-        state = json.loads(json.dumps(live.to_state_dict()))
-        restored = UnknownNQuantiles.from_state_dict(state)
-        assert restored.backend.name == "numpy"
-
-        live.update_batch(rest)
-        restored.update_batch(rest)
-        phis = [0.1, 0.5, 0.9]
-        assert live.query_many(phis) == restored.query_many(phis)
-        assert live.n == restored.n
-
-    def test_persist_roundtrip_through_framed_bytes(self):
-        from repro import persist
-
-        est = UnknownNQuantiles(plan=PLAN, seed=8, backend="numpy")
-        est.update_batch([float(i) for i in range(2_000)])
-        clone = persist.loads(persist.dumps(est))
-        assert clone.backend.name == "numpy"
-        assert clone.query(0.5) == est.query(0.5)
-
-    def test_extreme_estimator_numpy_backend(self):
-        from repro.core.extreme import ExtremeValueEstimator
-
-        rng = random.Random(3)
-        data = [rng.random() for _ in range(50_000)]
-        est = ExtremeValueEstimator(
-            phi=0.99, eps=0.004, delta=0.01, n=len(data), backend="numpy", seed=3
-        )
-        est.extend(data)
-        rank = sorted(data).index(est.query()) + 1
-        assert abs(rank - 0.99 * len(data)) <= 0.01 * len(data)
-
-    def test_parallel_numpy_backend(self):
-        from repro.core.parallel import ParallelQuantiles
-
-        par = ParallelQuantiles(
-            num_workers=4, eps=0.05, delta=0.01, seed=17, backend="numpy"
-        )
-        rng = random.Random(17)
-        for worker in range(4):
-            par.extend(worker, [rng.random() for _ in range(5_000)])
-        assert 0.4 <= par.query(0.5) <= 0.6
-
-    def test_rng_state_roundtrip(self):
-        backend = get_backend("numpy")
-        rng = backend.make_rng(5)
-        rng.random()  # advance
-        clone = rng_from_state(json.loads(json.dumps(rng_state_dict(rng))))
-        assert [rng.random() for _ in range(8)] == [
-            clone.random() for _ in range(8)
-        ]
-        assert rng.getrandbits(64) == clone.getrandbits(64)
-
 
 class TestPythonRngStateCompat:
     def test_random_random_state_stays_tuple_shaped(self):
-        # python-backend checkpoints must stay byte-compatible with the
-        # historical getstate() serialisation.
-        rng = random.Random(9)
-        state = rng_state_dict(rng)
-        assert state == rng.getstate()
-        clone = rng_from_state(state)
+        # Checkpoints must stay byte-compatible with the historical
+        # getstate() serialisation, including after a JSON round trip.
+        est = UnknownNQuantiles(plan=PLAN, rng=random.Random(9))
+        state = json.loads(json.dumps(est.to_state_dict()))["rng"]
+        clone = restore_rng(state)
+        assert clone.getstate() == random.Random(9).getstate()
         assert clone.random() == random.Random(9).random()

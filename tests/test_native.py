@@ -5,12 +5,11 @@ Four layers of confidence, mirroring ``test_kernels.py``:
 * **Registry + degrade semantics** — ``"native"`` appears in
   :func:`available_backends` iff the extension is built; an explicit
   request on a build-free host raises :class:`BackendUnavailableError`
-  naming the build remedy, the environment variable degrades (to numpy,
-  then python) with a warning, and checkpoints degrade with a warning.
-* **Property-tested equivalence matrix** — hypothesis drives the same
-  weighted buffers and batches through native × python × numpy.  Against
-  python the native backend is held to the *stronger* contract: with a
-  shared ``random.Random`` every kernel is bit-identical (same draw law
+  naming the build remedy, the environment variable degrades to python
+  with a warning, and checkpoints degrade with a warning.
+* **Property-tested equivalence** — hypothesis drives the same weighted
+  buffers and batches through native and python.  With a shared
+  ``random.Random`` every kernel is bit-identical (same draw law
   ``int(random() * rate)``, same tie law in the weighted merge).
 * **Cross-backend checkpoints, both directions** — a native checkpoint
   restores on a build-free host (python kernels, warning) and replays
@@ -103,17 +102,8 @@ class TestNativeRegistry:
         with pytest.raises(BackendUnavailableError, match="build_ext"):
             get_backend("native")
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-    def test_env_native_degrades_to_numpy_with_warning(self, monkeypatch):
+    def test_env_native_degrades_to_python_with_warning(self, monkeypatch):
         _without_native(monkeypatch)
-        monkeypatch.setenv(BACKEND_ENV_VAR, "native")
-        with pytest.warns(RuntimeWarning, match="falling back to the numpy"):
-            assert get_backend().name == "numpy"
-
-    def test_env_native_degrades_to_python_without_numpy(self, monkeypatch):
-        _without_native(monkeypatch)
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        monkeypatch.setitem(sys.modules, "repro.kernels.numpy_backend", None)
         monkeypatch.setenv(BACKEND_ENV_VAR, "native")
         with pytest.warns(RuntimeWarning, match="falling back to the python"):
             assert get_backend() is PYTHON_BACKEND
@@ -142,7 +132,7 @@ class TestNativeRegistry:
 
 
 # ----------------------------------------------------------------------
-# Equivalence matrix: native × python × numpy (property-tested)
+# Equivalence: native × python (property-tested)
 # ----------------------------------------------------------------------
 
 sorted_buffer = st.lists(
@@ -154,14 +144,7 @@ weighted_buffers = st.lists(
 
 
 @pytest.fixture(
-    scope="module",
-    params=[
-        pytest.param("native", marks=requires_native),
-        pytest.param(
-            "numpy",
-            marks=pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed"),
-        ),
-    ]
+    scope="module", params=[pytest.param("native", marks=requires_native)]
 )
 def other(request):
     """The non-reference side of the equivalence matrix."""

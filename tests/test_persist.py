@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import pickle
 import random
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,10 @@ TINY_PLAN = Plan(
 )
 
 PHIS = [0.05, 0.25, 0.5, 0.75, 0.95]
+
+#: An UnknownNQuantiles(eps=0.05, delta=0.01, seed=5) checkpoint of 2000
+#: values, written by the release that still shipped the numpy backend.
+NUMPY_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v2_numpy.bin"
 
 # Sampling onset for TINY_PLAN is after leaves_before_sampling * k = 300
 # elements; these two prefixes bracket it, and neither is a multiple of the
@@ -358,3 +364,35 @@ class TestRotatingCheckpoints:
         restored, generation = persist.load_checkpoint_rotating(path, keep=3)
         assert generation == 0
         assert restored.to_state_dict() == est.to_state_dict()
+
+
+class TestRemovedNumpyBackend:
+    """Checkpoints of the removed numpy backend fail loudly, never halfway."""
+
+    def test_load_raises_version_error_naming_the_remedy(self):
+        with pytest.raises(CheckpointVersionError) as excinfo:
+            load_checkpoint(NUMPY_CHECKPOINT)
+        message = str(excinfo.value)
+        assert "numpy kernel backend" in message
+        assert "Re-ingest" in message
+        assert "previous release" in message
+
+    def test_multi_wrapped_numpy_state_refused(self):
+        inner = UnknownNQuantiles(plan=TINY_PLAN, seed=3).to_state_dict()
+        inner["backend"] = "numpy"
+        state = {"kind": "multi", "state_version": persist.STATE_VERSION}
+        with pytest.raises(CheckpointVersionError, match="numpy"):
+            persist.from_state_dict({**state, "inner": inner})
+
+    def test_restore_all_lists_tenant_unrecoverable(self, tmp_path):
+        from repro.service.tenants import TenantRegistry
+
+        shutil.copyfile(NUMPY_CHECKPOINT, tmp_path / "tenant-legacy.ckpt")
+        good = UnknownNQuantiles(eps=0.05, delta=0.01, seed=1)
+        good.update_batch(_data(100))
+        save_checkpoint(good, tmp_path / "tenant-fresh.ckpt")
+        registry = TenantRegistry(tmp_path)
+        report = registry.restore_all()
+        assert report.unrecoverable == ["legacy"]
+        assert report.restored == ["fresh"]
+        assert "legacy" not in registry
